@@ -4,6 +4,38 @@
 
 namespace tmesh {
 
+MemberInfo& MemberMap::Emplace(const UserId& id, HostId host,
+                               SimTime join_time, int rows, int base,
+                               int cap) {
+  auto [it, inserted] =
+      map_.try_emplace(id, id, host, join_time, rows, base, cap);
+  TMESH_CHECK(inserted);
+  index_.emplace(id, &it->second);
+  return it->second;
+}
+
+void MemberMap::Erase(const UserId& id) {
+  index_.erase(id);
+  map_.erase(id);
+}
+
+void MemberMap::Reindex() {
+  index_.clear();
+  index_.reserve(map_.size());
+  for (auto& [id, info] : map_) index_.emplace(id, &info);
+}
+
+void MemberMap::CheckIndex() const {
+  TMESH_CHECK_MSG(index_.size() == map_.size(),
+                  "member index size differs from the member map");
+  for (const auto& [id, info] : map_) {
+    auto it = index_.find(id);
+    TMESH_CHECK_MSG(it != index_.end() && it->second == &info,
+                    "member index does not resolve " + id.ToString() +
+                        " to its own record");
+  }
+}
+
 Directory::Directory(const Network& net, const GroupParams& params,
                      HostId server_host, AdmissionOptions admission)
     : net_(net),
@@ -32,9 +64,9 @@ NeighborRecord Directory::MakeRecord(const MemberInfo& of,
 }
 
 MemberInfo& Directory::InfoMut(const UserId& id) {
-  auto it = members_.find(id);
-  TMESH_CHECK_MSG(it != members_.end(), "unknown member " + id.ToString());
-  return it->second;
+  MemberInfo* m = members_.Find(id);
+  TMESH_CHECK_MSG(m != nullptr, "unknown member " + id.ToString());
+  return *m;
 }
 
 void Directory::UnderfullInsert(const DigitString& node, const UserId& holder) {
@@ -197,10 +229,8 @@ void Directory::AddMember(const UserId& id, HostId host, SimTime join_time) {
   TMESH_CHECK_MSG(host_index_.count(host) == 0, "host already a member");
   TMESH_CHECK(host != server_host_);
 
-  auto [it, inserted] = members_.try_emplace(
-      id, id, host, join_time, params_.digits, params_.base, params_.capacity);
-  TMESH_CHECK(inserted);
-  MemberInfo& me = it->second;
+  MemberInfo& me = members_.Emplace(id, host, join_time, params_.digits,
+                                    params_.base, params_.capacity);
   ++stats_.joins;
 
   BuildOwnTable(me);
@@ -243,14 +273,14 @@ void Directory::AliveErase(const UserId& id) {
 }
 
 bool Directory::IsAlive(const UserId& id) const {
-  auto it = members_.find(id);
-  return it != members_.end() && it->second.alive;
+  const MemberInfo* m = members_.Find(id);
+  return m != nullptr && m->alive;
 }
 
 const MemberInfo& Directory::Info(const UserId& id) const {
-  auto it = members_.find(id);
-  TMESH_CHECK_MSG(it != members_.end(), "unknown member " + id.ToString());
-  return it->second;
+  const MemberInfo* m = members_.Find(id);
+  TMESH_CHECK_MSG(m != nullptr, "unknown member " + id.ToString());
+  return *m;
 }
 
 const UserId* Directory::IdOfHost(HostId h) const {
@@ -353,7 +383,7 @@ void Directory::PurgeMember(const UserId& id) {
   for (const DigitString& p : vanishing) underfull_.erase(p);
   host_index_.erase(gone.host);
   RemoveFromAllTables(id);
-  members_.erase(id);
+  members_.Erase(id);
 }
 
 void Directory::RemoveMember(UserId id) {
@@ -366,10 +396,10 @@ void Directory::RemoveMember(UserId id) {
 }
 
 void Directory::MarkFailed(UserId id) {
-  auto it = members_.find(id);
-  TMESH_CHECK(it != members_.end());
-  TMESH_CHECK_MSG(it->second.alive, "member already failed");
-  it->second.alive = false;
+  MemberInfo* m = members_.Find(id);
+  TMESH_CHECK(m != nullptr);
+  TMESH_CHECK_MSG(m->alive, "member already failed");
+  m->alive = false;
   // The member stays in the ID tree, in other tables, and (lazily) in the
   // underfull sets until RepairFailure purges it.
   AliveErase(id);
@@ -377,9 +407,9 @@ void Directory::MarkFailed(UserId id) {
 }
 
 void Directory::RepairFailure(UserId id) {
-  auto it = members_.find(id);
-  TMESH_CHECK(it != members_.end());
-  TMESH_CHECK_MSG(!it->second.alive, "repairing a live member");
+  const MemberInfo* m = members_.Find(id);
+  TMESH_CHECK(m != nullptr);
+  TMESH_CHECK_MSG(!m->alive, "repairing a live member");
   PurgeMember(id);
 }
 
@@ -412,19 +442,9 @@ void Directory::RefillServer(int digit) {
 
 std::vector<NeighborRecord> Directory::QueryRecords(
     const UserId& w, const DigitString& target_prefix) const {
-  const MemberInfo& info = Info(w);
   std::vector<NeighborRecord> out;
-  if (target_prefix.IsPrefixOf(w)) {
-    out.push_back(MakeRecord(info, info.host));  // rtt 0 to self; id is what matters
-  }
-  for (int i = 0; i < info.table.rows(); ++i) {
-    for (const auto& [digit, entry] : info.table.row(i)) {
-      (void)digit;
-      for (const NeighborRecord& rec : entry) {
-        if (target_prefix.IsPrefixOf(rec.id)) out.push_back(rec);
-      }
-    }
-  }
+  ForEachQueryRecord(w, target_prefix,
+                     [&out](const NeighborRecord& rec) { out.push_back(rec); });
   return out;
 }
 
@@ -477,6 +497,10 @@ void Directory::CheckKConsistency() const {
 
 void Directory::CheckIndexIntegrity() const {
   const int k = params_.capacity;
+  // (0) The ID -> member index holds exactly the members, each resolving to
+  // its own record (not, say, to the record of a Directory it was copied
+  // from).
+  members_.CheckIndex();
   // (1) The reverse holder index matches member-table contents exactly.
   std::size_t table_records = 0;
   for (const auto& [wid, w] : members_) {
@@ -510,10 +534,9 @@ void Directory::CheckIndexIntegrity() const {
     TMESH_CHECK_MSG(!holders.empty(), "empty underfull set retained");
     const int row = node.size() - 1;
     for (const UserId& wid : holders) {
-      auto mi = members_.find(wid);
-      TMESH_CHECK_MSG(mi != members_.end(),
-                      "underfull holder is not a member");
-      const MemberInfo& w = mi->second;
+      const MemberInfo* mi = members_.Find(wid);
+      TMESH_CHECK_MSG(mi != nullptr, "underfull holder is not a member");
+      const MemberInfo& w = *mi;
       if (!w.alive) continue;  // dropped lazily on the next join there
       TMESH_CHECK_MSG(w.id.Prefix(row) == node.Prefix(row) &&
                           w.id.digit(row) != node.digit(row),

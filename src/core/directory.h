@@ -60,6 +60,60 @@ struct MemberInfo {
       : id(u), host(h), join_time(t), table(rows, base, cap) {}
 };
 
+// The members by ID: a std::map for sorted iteration (members(), and every
+// walk whose order feeds an output) plus a hash index for O(1) lookup. The
+// index points at the map's nodes, which never move while other members come
+// and go; a copy rebuilds it over the copy's own nodes, so a copied Directory
+// never reads the original's state.
+class MemberMap {
+ public:
+  using Map = std::map<UserId, MemberInfo>;
+
+  MemberMap() = default;
+  MemberMap(const MemberMap& other) : map_(other.map_) { Reindex(); }
+  MemberMap& operator=(const MemberMap& other) {
+    if (this != &other) {
+      map_ = other.map_;
+      Reindex();
+    }
+    return *this;
+  }
+  // Moving a std::map hands its nodes over, so the moved index stays valid.
+  MemberMap(MemberMap&&) = default;
+  MemberMap& operator=(MemberMap&&) = default;
+
+  const Map& map() const { return map_; }
+  std::size_t size() const { return map_.size(); }
+  Map::iterator begin() { return map_.begin(); }
+  Map::iterator end() { return map_.end(); }
+  Map::const_iterator begin() const { return map_.begin(); }
+  Map::const_iterator end() const { return map_.end(); }
+
+  // Null if `id` is not a member.
+  const MemberInfo* Find(const UserId& id) const {
+    auto it = index_.find(id);
+    return it == index_.end() ? nullptr : it->second;
+  }
+  MemberInfo* Find(const UserId& id) {
+    auto it = index_.find(id);
+    return it == index_.end() ? nullptr : it->second;
+  }
+  // Inserts a new member (the ID must be absent) and returns it.
+  MemberInfo& Emplace(const UserId& id, HostId host, SimTime join_time,
+                      int rows, int base, int cap);
+  void Erase(const UserId& id);
+
+  // Throws unless the index holds exactly the map's members, each resolving
+  // to its own map node.
+  void CheckIndex() const;
+
+ private:
+  void Reindex();
+
+  Map map_;
+  std::unordered_map<UserId, MemberInfo*> index_;
+};
+
 // How AddMember/RemoveMember locate the neighbor-table entries they must
 // update. Both policies implement the same admission discipline and produce
 // byte-identical tables (pinned by tests/directory_test.cc's differential
@@ -101,7 +155,7 @@ class Directory : public GroupView {
   void RepairFailure(UserId id);
 
   bool Contains(const UserId& id) const override {
-    return members_.count(id) > 0;
+    return members_.Find(id) != nullptr;
   }
   bool IsAlive(const UserId& id) const override;
   int member_count() const { return static_cast<int>(members_.size()); }
@@ -116,7 +170,9 @@ class Directory : public GroupView {
   HostId HostOf(const UserId& id) const override { return Info(id).host; }
   const UserId* IdOfHost(HostId h) const;
   const IdTree& id_tree() const { return id_tree_; }
-  const std::map<UserId, MemberInfo>& members() const { return members_; }
+  const std::map<UserId, MemberInfo>& members() const {
+    return members_.map();
+  }
 
   std::vector<UserId> AliveMembers() const;
   // A uniformly random alive member (what the key server hands a joining
@@ -129,6 +185,27 @@ class Directory : public GroupView {
   // RTT probes, but the query returns whatever the table holds.
   std::vector<NeighborRecord> QueryRecords(const UserId& w,
                                            const DigitString& target_prefix) const;
+  // The same records, in the same order (own record, then rows and digits
+  // ascending), handed to `f` one at a time without a copy. A record in row
+  // i of w's table shares exactly i digits with w, so rows below
+  // cpl(w, target_prefix) cannot match and are skipped.
+  template <typename F>
+  void ForEachQueryRecord(const UserId& w, const DigitString& target_prefix,
+                          F&& f) const {
+    const MemberInfo& info = Info(w);
+    if (target_prefix.IsPrefixOf(w)) {
+      f(MakeRecord(info, info.host));  // rtt 0 to self; id is what matters
+    }
+    for (int i = w.CommonPrefixLen(target_prefix); i < info.table.rows();
+         ++i) {
+      for (const auto& [digit, entry] : info.table.row(i)) {
+        (void)digit;
+        for (const NeighborRecord& rec : entry) {
+          if (target_prefix.IsPrefixOf(rec.id)) f(rec);
+        }
+      }
+    }
+  }
 
   // --- observability ----------------------------------------------------
   // Monotonic operation counters; tests snapshot deltas to pin admission
@@ -153,8 +230,10 @@ class Directory : public GroupView {
   // Verifies the admission index against the tables it summarizes: the
   // reverse holder index matches table contents exactly, and every alive
   // member's below-K entry is registered in the underfull set of its ID-tree
-  // node (so future joins reach it). O(N·D·B); test/debug only. Valid under
-  // both policies — the scan path maintains the same index.
+  // node (so future joins reach it); and the ID → member hash index holds
+  // exactly the members, each resolving to its own record. O(N·D·B);
+  // test/debug only. Valid under both policies — the scan path maintains the
+  // same index.
   void CheckIndexIntegrity() const;
 
  private:
@@ -196,7 +275,7 @@ class Directory : public GroupView {
   AdmissionOptions admission_;
   int window_;  // resolved candidate window (>= capacity)
   IdTree id_tree_;
-  std::map<UserId, MemberInfo> members_;
+  MemberMap members_;
   std::unordered_map<HostId, UserId> host_index_;
   NeighborTable server_table_;
   std::set<UserId> alive_ids_;  // mirrors {id : Info(id).alive}

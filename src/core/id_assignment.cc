@@ -1,12 +1,39 @@
 #include "core/id_assignment.h"
 
 #include <algorithm>
+#include <array>
+#include <bit>
+#include <cstdint>
 #include <set>
-#include <unordered_set>
 
 #include "common/stats.h"
 
 namespace tmesh {
+namespace {
+
+// A set of digits that yields its smallest member in O(kMaxBase / 64).
+class DigitSet {
+ public:
+  void Insert(int d) { words_[Word(d)] |= Bit(d); }
+  void Erase(int d) { words_[Word(d)] &= ~Bit(d); }
+  // The smallest member, or -1 if the set is empty.
+  int Min() const {
+    for (std::size_t w = 0; w < words_.size(); ++w) {
+      if (words_[w] != 0) {
+        return static_cast<int>(w) * 64 + std::countr_zero(words_[w]);
+      }
+    }
+    return -1;
+  }
+
+ private:
+  static std::size_t Word(int d) { return static_cast<std::size_t>(d) / 64; }
+  static std::uint64_t Bit(int d) { return std::uint64_t{1} << (d % 64); }
+
+  std::array<std::uint64_t, kMaxBase / 64> words_{};
+};
+
+}  // namespace
 
 IdAssigner::IdAssigner(Directory& directory, IdAssignParams params,
                        std::uint64_t seed)
@@ -114,66 +141,80 @@ std::optional<UserId> IdAssigner::AssignId(HostId joiner,
     seeds.push_back(rec);
   }
 
+  // Step 1's per-digit buckets, reused across levels: collected[j].recs
+  // holds users whose IDs extend my_prefix with digit j. Only a bucket's
+  // first unqueried record is ever queried, so its queried records are the
+  // first `queried` of them.
+  struct Bucket {
+    std::vector<NeighborRecord> recs;
+    std::size_t queried = 0;
+  };
+  std::vector<Bucket> collected(static_cast<std::size_t>(dir_.params().base));
+  std::vector<int> occupied;  // digits whose bucket is non-empty
+  // Buckets still below P that hold an unqueried record: the ones step 1
+  // may query next.
+  DigitSet pending;
+  const std::size_t target = static_cast<std::size_t>(params_.collect_target);
+
   for (int i = 0; i <= d - 2; ++i) {
     // ---- Step 1: collect up to P records per (i,j)-ID subtree. ----------
-    // collected[j] holds users whose IDs extend my_prefix with digit j.
-    std::map<int, std::vector<NeighborRecord>> collected;
-    std::unordered_set<DigitString> seen;
-    std::unordered_set<DigitString> queried;
+    for (int j : occupied) {
+      Bucket& bucket = collected[static_cast<std::size_t>(j)];
+      bucket.recs.clear();
+      bucket.queried = 0;
+    }
+    occupied.clear();
 
+    // Checks run cheapest first; the outcome does not depend on the order.
     auto admit = [&](const NeighborRecord& rec) {
+      ++st.records_examined;
       if (!my_prefix.IsPrefixOf(rec.id)) return;
-      if (!dir_.IsAlive(rec.id)) return;
-      auto& bucket = collected[rec.id.digit(i)];
+      const int j = rec.id.digit(i);
+      std::vector<NeighborRecord>& bucket =
+          collected[static_cast<std::size_t>(j)].recs;
       // The joiner only needs P users per subtree (§3.1.1) — extra records
       // would just cost extra RTT probes in step 2.
-      if (static_cast<int>(bucket.size()) >= params_.collect_target) return;
-      if (!seen.insert(rec.id).second) return;
+      if (bucket.size() >= target) return;
+      for (const NeighborRecord& have : bucket) {
+        if (have.id == rec.id) return;  // already collected
+      }
+      if (!dir_.IsAlive(rec.id)) return;
+      if (bucket.empty()) occupied.push_back(j);
       bucket.push_back(rec);
+      if (bucket.size() < target) {
+        pending.Insert(j);
+      } else {
+        pending.Erase(j);
+      }
     };
     for (const NeighborRecord& s : seeds) admit(s);
 
     // Keep querying: per subtree j, query collected-but-unqueried users
     // until P records are in hand for j or everyone collected from j has
-    // been queried (§3.1.1).
-    bool progress = true;
-    while (progress) {
-      progress = false;
-      for (auto& [j, recs] : collected) {
-        if (static_cast<int>(recs.size()) >= params_.collect_target) continue;
-        // Find an unqueried user collected from this subtree.
-        NeighborRecord target;
-        bool found = false;
-        for (const NeighborRecord& rec : recs) {
-          if (queried.count(rec.id) == 0) {
-            target = rec;
-            found = true;
-            break;
-          }
-        }
-        if (!found) continue;
-        queried.insert(target.id);
-        ++st.queries;
-        for (const NeighborRecord& rec :
-             dir_.QueryRecords(target.id, my_prefix)) {
-          admit(rec);
-        }
-        progress = true;
-        break;  // re-scan: the reply may have filled several subtrees
-      }
+    // been queried (§3.1.1). Always the smallest such j next: a reply may
+    // fill several subtrees at once.
+    for (int j = pending.Min(); j != -1; j = pending.Min()) {
+      Bucket& bucket = collected[static_cast<std::size_t>(j)];
+      const UserId queried = bucket.recs[bucket.queried++].id;
+      if (bucket.queried == bucket.recs.size()) pending.Erase(j);
+      ++st.queries;
+      dir_.ForEachQueryRecord(queried, my_prefix, admit);
     }
 
-    if (collected.empty()) {
+    if (occupied.empty()) {
       // Nobody in this subtree (can happen when the seed users left):
       // fall through to the key server.
       st.server_assigned_tail = true;
       return ServerAssignTail(my_prefix, i);
     }
+    std::sort(occupied.begin(), occupied.end());  // steps 2+3 go by digit
 
     // ---- Steps 2+3: measure gateway RTTs, pick the closest subtree. -----
     int best_digit = -1;
     double best_f = 0.0;
-    for (auto& [j, recs] : collected) {
+    for (int j : occupied) {
+      const std::vector<NeighborRecord>& recs =
+          collected[static_cast<std::size_t>(j)].recs;
       std::vector<double> rtts;
       rtts.reserve(recs.size());
       for (const NeighborRecord& rec : recs) {
@@ -192,7 +233,7 @@ std::optional<UserId> IdAssigner::AssignId(HostId joiner,
       // Close enough: adopt the digit and descend (§3.1.3 case 1).
       my_prefix.Append(best_digit);
       ++st.digits_self_determined;
-      seeds = collected[best_digit];
+      seeds = std::move(collected[static_cast<std::size_t>(best_digit)].recs);
       continue;
     }
     // Not close to anyone (§3.1.3 case 2): the key server assigns the rest.
@@ -224,8 +265,7 @@ std::optional<UserId> IdAssigner::AssignIdCentralized(HostId joiner,
     double best_f = 0.0;
     for (int j : dir_.id_tree().ChildDigits(my_prefix)) {
       std::vector<double> rtts;
-      for (const UserId& w : dir_.id_tree().UsersWithPrefix(
-               my_prefix.Child(j))) {
+      for (const UserId& w : dir_.id_tree().UsersRef(my_prefix.Child(j))) {
         if (!dir_.IsAlive(w)) continue;
         rtts.push_back(GatewayRtt(joiner, dir_.HostOf(w)));
       }

@@ -40,6 +40,7 @@ struct IdAssignParams {
 
 struct IdAssignStats {
   int queries = 0;      // user-to-user record queries (step 1)
+  int records_examined = 0;  // records offered to step 1's admission check
   int rtt_probes = 0;   // gateway RTT measurements (step 2)
   int digits_self_determined = 0;  // digits chosen by proximity (step 3)
   bool server_assigned_tail = false;  // fell through to the key server early

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <vector>
 
 #include "topology/planetlab.h"
 
@@ -91,6 +92,150 @@ TEST(Directory, QueryRecordsReturnsMatchingPrefixes) {
   for (const auto& r : recs) {
     EXPECT_TRUE((DigitString{0}).IsPrefixOf(r.id));
   }
+}
+
+// ForEachQueryRecord against a brute-force filter over every record of the
+// queried member's table, after random churn with unrepaired failures, for
+// prefixes the queried member carries and prefixes it does not.
+void ExpectQueryMatchesBruteForce(const Directory& dir, const UserId& w,
+                                  const DigitString& prefix) {
+  const MemberInfo& info = dir.Info(w);
+  std::vector<NeighborRecord> want;
+  if (prefix.IsPrefixOf(w)) {
+    NeighborRecord self;
+    self.id = w;
+    self.host = info.host;
+    self.join_time = info.join_time;
+    self.rtt_ms = dir.network().RttHosts(info.host, info.host);
+    want.push_back(self);
+  }
+  for (int i = 0; i < info.table.rows(); ++i) {
+    for (const auto& [digit, entry] : info.table.row(i)) {
+      (void)digit;
+      for (const NeighborRecord& rec : entry) {
+        if (prefix.IsPrefixOf(rec.id)) want.push_back(rec);
+      }
+    }
+  }
+  std::vector<NeighborRecord> got;
+  dir.ForEachQueryRecord(
+      w, prefix, [&got](const NeighborRecord& rec) { got.push_back(rec); });
+  const std::vector<NeighborRecord> copied = dir.QueryRecords(w, prefix);
+  ASSERT_EQ(got.size(), want.size())
+      << "query " << w.ToString() << " for " << prefix.ToString();
+  ASSERT_EQ(copied.size(), want.size());
+  for (std::size_t r = 0; r < want.size(); ++r) {
+    EXPECT_EQ(got[r].id, want[r].id);
+    EXPECT_EQ(got[r].host, want[r].host);
+    EXPECT_EQ(got[r].join_time, want[r].join_time);
+    EXPECT_EQ(got[r].rtt_ms, want[r].rtt_ms);
+    EXPECT_EQ(copied[r].id, want[r].id);
+    EXPECT_EQ(copied[r].rtt_ms, want[r].rtt_ms);
+  }
+}
+
+TEST(Directory, QueryVisitorMatchesBruteForceUnderChurn) {
+  const GroupParams shapes[] = {{2, 4, 2}, {3, 4, 2}, {4, 2, 1}, {5, 256, 4}};
+  for (const GroupParams& params : shapes) {
+    auto net = MakeNet(60, 13);
+    Directory dir(net, params, 0);
+    Rng rng(static_cast<std::uint64_t>(params.digits * 1000 + params.base));
+    std::vector<UserId> alive;
+    std::vector<HostId> free_hosts;
+    for (HostId h = 1; h < 60; ++h) free_hosts.push_back(h);
+    int failures = 0;
+    for (int step = 0; step < 200; ++step) {
+      const double roll = rng.UniformReal(0.0, 1.0);
+      if (!free_hosts.empty() && (alive.size() < 4 || roll < 0.6)) {
+        UserId id = RandomId(rng, params.digits, params.base);
+        if (dir.Contains(id)) continue;
+        dir.AddMember(id, free_hosts.back(), step);
+        free_hosts.pop_back();
+        alive.push_back(id);
+        continue;
+      }
+      std::size_t i = static_cast<std::size_t>(
+          rng.UniformInt(0, static_cast<std::int64_t>(alive.size()) - 1));
+      if (roll < 0.85) {
+        free_hosts.push_back(dir.HostOf(alive[i]));
+        dir.RemoveMember(alive[i]);
+      } else {
+        dir.MarkFailed(alive[i]);  // left unrepaired: stays in tables
+        ++failures;
+      }
+      alive.erase(alive.begin() + static_cast<std::ptrdiff_t>(i));
+    }
+    ASSERT_GT(failures, 0);
+    ASSERT_GT(dir.member_count(), dir.alive_count());
+
+    for (const auto& [w, info] : dir.members()) {
+      // Prefixes w carries, from the null prefix to w itself...
+      for (int len = 0; len <= params.digits; ++len) {
+        ExpectQueryMatchesBruteForce(dir, w, w.Prefix(len));
+      }
+      // ...and prefixes it does not: w's own with one digit changed, and
+      // random ones.
+      for (int len = 1; len <= params.digits; ++len) {
+        DigitString other = w.Prefix(len);
+        other.SetDigit(len - 1, (w.digit(len - 1) + 1) % params.base);
+        ExpectQueryMatchesBruteForce(dir, w, other);
+        ExpectQueryMatchesBruteForce(
+            dir, w, RandomId(rng, params.digits, params.base).Prefix(len));
+      }
+    }
+  }
+}
+
+// A copied Directory answers every lookup from its own state, whatever
+// happens to the original afterwards.
+TEST(Directory, CopyKeepsItsOwnMemberIndex) {
+  auto net = MakeNet(40, 9);
+  Directory orig(net, GroupParams{3, 4, 2}, 0);
+  Rng rng(5);
+  std::vector<UserId> ids;
+  for (HostId h = 1; h <= 20; ++h) {
+    UserId id;
+    do {
+      id = RandomId(rng, 3, 4);
+    } while (orig.Contains(id));
+    orig.AddMember(id, h, h);
+    ids.push_back(id);
+  }
+  orig.MarkFailed(ids[3]);
+
+  const Directory copy = orig;
+  copy.CheckIndexIntegrity();
+
+  // Change the original: remove members (freeing their records), fail and
+  // repair others, add new ones.
+  for (std::size_t i = 0; i < 8; ++i) orig.RemoveMember(ids[i]);
+  orig.MarkFailed(ids[10]);
+  orig.RepairFailure(ids[10]);
+  orig.MarkFailed(ids[11]);
+  std::vector<UserId> added;
+  for (HostId h = 21; h <= 35; ++h) {
+    UserId id;
+    do {
+      id = RandomId(rng, 3, 4);
+    } while (orig.Contains(id) || copy.Contains(id));
+    orig.AddMember(id, h, h);
+    added.push_back(id);
+  }
+  orig.CheckIndexIntegrity();
+
+  copy.CheckIndexIntegrity();
+  EXPECT_EQ(copy.member_count(), 20);
+  EXPECT_EQ(copy.alive_count(), 19);
+  for (std::size_t i = 0; i < ids.size(); ++i) {
+    ASSERT_TRUE(copy.Contains(ids[i]));
+    EXPECT_EQ(copy.IsAlive(ids[i]), i != 3);
+    EXPECT_EQ(copy.HostOf(ids[i]), static_cast<HostId>(i + 1));
+    EXPECT_EQ(copy.Info(ids[i]).id, ids[i]);
+    EXPECT_EQ(&copy.Info(ids[i]), &copy.members().at(ids[i]));
+  }
+  for (const UserId& id : added) EXPECT_FALSE(copy.Contains(id));
+  EXPECT_FALSE(orig.IsAlive(ids[11]));
+  EXPECT_FALSE(orig.Contains(ids[0]));
 }
 
 TEST(Directory, RejectsDuplicatesAndUnknowns) {
